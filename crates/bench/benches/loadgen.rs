@@ -1,12 +1,12 @@
 //! Controller fan-in under a seeded load-generator schedule: a steady +
 //! bursty submission mix (bate_sim::loadgen, mgen-style) driven through
-//! real sockets against the event-driven controller plane, with batched
-//! admission amortizing warm solves across each poll wakeup's arrivals.
+//! real sockets against the event-driven controller plane, which decides
+//! each submit as it arrives (FCFS fold, per-demand install push).
 //!
 //! Custom harness (no criterion): the driver needs machine-readable
 //! output, so `--emit-json` writes `BENCH_load.json` at the repository
 //! root with sustained throughput and the controller-side admission
-//! latency quantiles read from the `bate_admission_*` histograms.
+//! latency quantiles read from the `bate_admission_latency_us` histogram.
 //!
 //! Run with:
 //!
@@ -87,10 +87,10 @@ fn main() {
     let lanes_n = arg(&args, "--lanes", 4.0) as usize;
     // Max submits a lane puts in flight per wave. Without a window, a
     // burst that momentarily outpaces the verdict RTT queues every due
-    // event into one giant batch; the admission fold then grows the pool
-    // mid-batch until the network saturates, and each rejection pays the
-    // conjecture pass over that bloated pool. Bounding the wave keeps
-    // the bench measuring sustained throughput instead of collapse.
+    // event at once; the admission fold then grows the pool until the
+    // network saturates, and each rejection pays the conjecture pass over
+    // that bloated pool. Bounding the wave keeps the bench measuring
+    // sustained throughput instead of collapse.
     let window = arg(&args, "--window", 32.0) as usize;
 
     let topo = topologies::testbed6();
@@ -128,7 +128,6 @@ fn main() {
         max_failures: 2,
         schedule_interval: None,
         clock: bate_core::clock::SystemClock::shared(),
-        legacy_duplicate_handling: false,
         idle_timeout: Some(Duration::from_secs(30)),
     })
     .expect("controller start");
@@ -190,8 +189,8 @@ fn main() {
             // Collect the whole wave's verdicts before the next wave, and
             // push the withdrawals they trigger out immediately. Leaving
             // verdicts outstanding leaves their withdraws unissued, and
-            // an open loop against a pool-superlinear warm solve
-            // diverges: pool grows -> solve slows -> verdict RTT grows ->
+            // an open loop against a pool-superlinear conjecture check
+            // diverges: pool grows -> fold slows -> verdict RTT grows ->
             // pool grows. Closing the loop per wave bounds the pool at
             // ~lanes x (cap + one wave).
             lane.drain(usize::MAX, cap);
@@ -216,44 +215,23 @@ fn main() {
     assert_eq!(admitted + rejected, total as u64);
     let achieved_per_min = total as f64 / wall * 60.0;
 
-    // Controller-side admission latency (frame decode -> verdict queued),
-    // one observation per demand, and the batch-size distribution proving
-    // the amortization actually engaged.
-    let r = Registry::global();
-    let lat = r.histogram("bate_admission_latency_us");
-    let batch = r.histogram("bate_admission_batch_size");
+    // Controller-side admission latency (frame handled -> verdict
+    // queued), one observation per demand.
+    let lat = Registry::global().histogram("bate_admission_latency_us");
     let p50_us = lat.quantile(0.50);
     let p99_us = lat.quantile(0.99);
-    let batches = r.counter("bate_ctrl_batches_total").get();
-    let solves = r.counter("bate_ctrl_batch_warm_solves_total").get();
-    let batch_mean = batch.sum() / batch.count().max(1) as f64;
 
     println!(
         "loadgen  {total} submissions in {wall:.3} s  ({achieved_per_min:.0}/min, target {per_min:.0}/min)  \
          admitted {admitted} rejected {rejected}"
     );
-    println!(
-        "loadgen  admission latency p50 {p50_us:.0} us  p99 {p99_us:.0} us  \
-         batches {batches} (mean size {batch_mean:.1}, max {:.0})  warm solves {solves}",
-        batch.max(),
-    );
+    println!("loadgen  admission latency p50 {p50_us:.0} us  p99 {p99_us:.0} us");
 
     assert_eq!(
         lat.count(),
         total as u64,
         "every submission must land one admission-latency observation"
     );
-    // Batching needs fan-in pressure: waves are closed-loop, so multi-
-    // submit batches only form when arrivals outpace the verdict RTT.
-    // Smoke-scale runs (a few hundred per second) legitimately see
-    // batches of one.
-    if per_min >= 12_000.0 {
-        assert!(
-            batch.max() >= 2.0,
-            "batched admission never engaged (max batch size {})",
-            batch.max()
-        );
-    }
     assert!(
         achieved_per_min >= floor,
         "sustained {achieved_per_min:.0} submissions/min is below the {floor:.0}/min floor"
@@ -265,10 +243,7 @@ fn main() {
              \"per_min\": {achieved_per_min:.1}, \"target_per_min\": {per_min:.1}, \
              \"admitted\": {admitted}, \"rejected\": {rejected}, \
              \"p50_us\": {p50_us:.3}, \"p99_us\": {p99_us:.3}, \
-             \"batches\": {batches}, \"batch_mean\": {batch_mean:.3}, \"batch_max\": {:.1}, \
-             \"warm_solves\": {solves}, \"lanes\": {lanes_n}, \"live_cap\": {cap}, \
-             \"seed\": {seed}}}\n}}\n",
-            batch.max(),
+             \"lanes\": {lanes_n}, \"live_cap\": {cap}, \"seed\": {seed}}}\n}}\n",
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_load.json");
         std::fs::write(path, json).expect("write BENCH_load.json");

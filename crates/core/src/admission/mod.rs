@@ -134,8 +134,8 @@ pub fn admit(
 
 /// One FCFS fold step over an evolving pool: run the pipeline for
 /// `new` and, on admission, apply its flows to `current` and append it
-/// to `admitted`. This is the exact per-demand sequence the controller's
-/// threaded plane ran; batching builds on it below.
+/// to `admitted`. The controller runs exactly this step per arriving
+/// submit, in arrival order.
 pub fn admit_and_apply(
     ctx: &TeContext,
     admitted: &mut Vec<BaDemand>,
@@ -152,29 +152,6 @@ pub fn admit_and_apply(
         }
         AdmissionOutcome::Rejected => false,
     }
-}
-
-/// Batched admission: decide `batch` first-come-first-served against the
-/// evolving pool, returning one verdict per entry in order.
-///
-/// Verdicts are *by construction* identical to submitting the same
-/// demands sequentially: each entry is decided by the same three-step
-/// pipeline against the pool state left by its predecessors. Batching
-/// changes only *when* the pool is re-optimized — the caller amortizes
-/// one warm scheduling solve across the whole batch instead of paying a
-/// scheduling round per arrival — never *what* is admitted. (The
-/// batched-admission equivalence test in `bate-system` pins this against
-/// the exact LP oracle.)
-pub fn admit_batch(
-    ctx: &TeContext,
-    admitted: &mut Vec<BaDemand>,
-    current: &mut Allocation,
-    batch: &[BaDemand],
-) -> Vec<bool> {
-    batch
-        .iter()
-        .map(|d| admit_and_apply(ctx, admitted, current, d))
-        .collect()
 }
 
 fn admit_inner(
@@ -244,45 +221,5 @@ mod tests {
         for d in &admitted {
             assert!(current.meets_target(&ctx, d), "demand {:?}", d.id);
         }
-    }
-
-    /// Batched admission must be verdict-for-verdict the sequential
-    /// pipeline: same demands, same order, same pool evolution.
-    #[test]
-    fn batched_verdicts_match_sequential_fold() {
-        let topo = topologies::testbed6();
-        let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
-        let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-        let n = |s: &str| topo.find_node(s).unwrap();
-        let p13 = tunnels.pair_index(n("DC1"), n("DC3")).unwrap();
-        let p26 = tunnels.pair_index(n("DC2"), n("DC6")).unwrap();
-        // A mix that exercises admit and reject: the 10 Gbps entry can
-        // never fit (DC1's egress cut is 3 Gbps).
-        let batch: Vec<BaDemand> = vec![
-            BaDemand::single(1, p13, 400.0, 0.95),
-            BaDemand::single(2, p26, 300.0, 0.9),
-            BaDemand::single(3, p13, 10_000.0, 0.5),
-            BaDemand::single(4, p13, 250.0, 0.99),
-            BaDemand::single(5, p26, 150.0, 0.95),
-        ];
-
-        let mut seq_pool = Vec::new();
-        let mut seq_alloc = Allocation::new();
-        let seq: Vec<bool> = batch
-            .iter()
-            .map(|d| admit_and_apply(&ctx, &mut seq_pool, &mut seq_alloc, d))
-            .collect();
-
-        let mut bat_pool = Vec::new();
-        let mut bat_alloc = Allocation::new();
-        let bat = admit_batch(&ctx, &mut bat_pool, &mut bat_alloc, &batch);
-
-        assert_eq!(seq, bat, "batched verdicts diverged from sequential");
-        assert_eq!(seq.iter().filter(|&&a| a).count(), 4, "only the 10G entry rejects");
-        assert_eq!(
-            seq_pool.iter().map(|d| d.id).collect::<Vec<_>>(),
-            bat_pool.iter().map(|d| d.id).collect::<Vec<_>>(),
-        );
     }
 }

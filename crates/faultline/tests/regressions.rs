@@ -40,52 +40,24 @@ fn proxied_client(proxy: &FaultProxy, policy: RetryPolicy) -> Client {
 }
 
 /// THE retry bug: the first AdmissionReply is dropped on the wire. The
-/// pre-hardening client (no retries, no deadline — `RetryPolicy::none()`
-/// preserves it) never learns its demand was admitted; the hardened
-/// client retries, the controller replays the verdict idempotently, and
-/// the demand is counted exactly once.
+/// hardened client retries, the controller replays the verdict
+/// idempotently, and the demand is counted exactly once.
 #[test]
 fn dropped_admission_reply_is_retried_not_double_counted() {
     let plan = FaultPlan::seeded(42).drop_first(Some(Direction::S2C), 1);
     let req = DemandRequest::new(1, "DC1", "DC4", 100.0, 0.9);
 
-    // Pre-hardening behavior: one attempt, reply lost ⇒ the operation
-    // fails (bounded here by a short timeout so the test doesn't hang the
-    // way the old blocking read did) — yet the controller HAS admitted
-    // the demand. The client is billed for capacity it thinks it never
-    // got: the bug.
-    {
-        let controller = start_controller();
-        let proxy = FaultProxy::start(controller.addr(), plan.clone()).unwrap();
-        let mut policy = RetryPolicy::none();
-        policy.request_timeout = Duration::from_millis(200);
-        let mut client = proxied_client(&proxy, policy);
-        assert!(
-            client.submit(&req).is_err(),
-            "pre-hardening path must fail when the reply is dropped"
-        );
-        assert_eq!(
-            controller.admitted_count(),
-            1,
-            "the demand IS admitted — the old client just never learns it"
-        );
-    }
-
-    // Hardened behavior: the retry gets the replayed verdict; exactly one
-    // admission.
-    {
-        let controller = start_controller();
-        let proxy = FaultProxy::start(controller.addr(), plan.clone()).unwrap();
-        let mut client = proxied_client(&proxy, harness_policy(&plan));
-        assert!(client.submit(&req).unwrap());
-        assert_eq!(controller.admitted_count(), 1, "never double-counted");
-        // The trace shows the drop actually happened.
-        assert!(
-            proxy.trace_jsonl().contains("\"action\":\"drop\""),
-            "trace: {}",
-            proxy.trace_jsonl()
-        );
-    }
+    let controller = start_controller();
+    let proxy = FaultProxy::start(controller.addr(), plan.clone()).unwrap();
+    let mut client = proxied_client(&proxy, harness_policy(&plan));
+    assert!(client.submit(&req).unwrap());
+    assert_eq!(controller.admitted_count(), 1, "never double-counted");
+    // The trace shows the drop actually happened.
+    assert!(
+        proxy.trace_jsonl().contains("\"action\":\"drop\""),
+        "trace: {}",
+        proxy.trace_jsonl()
+    );
 }
 
 /// Garbage and corrupt frames must not take the controller down (the

@@ -2,10 +2,10 @@
 //! implementations.
 //!
 //! Everything time-dependent in the control plane — client retry backoff,
-//! broker wait deadlines, replication lease and election backoff, the
-//! controller's Online Scheduler period, the sim engine's compute-time
-//! accounting — takes a `&dyn Clock` (usually as an `Arc<dyn Clock>`)
-//! instead of calling `Instant::now()` / `thread::sleep` directly. Tests
+//! broker wait deadlines and reconnect pacing, the controller's Online
+//! Scheduler period, the sim engine's compute-time accounting — takes a
+//! `&dyn Clock` (usually as an `Arc<dyn Clock>`) instead of calling
+//! `Instant::now()` / `thread::sleep` directly. Tests
 //! substitute [`SimClock`] and become deterministic and sleep-free; the
 //! default everywhere is [`SystemClock`].
 //!

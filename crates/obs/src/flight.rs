@@ -5,10 +5,10 @@
 //!
 //! When enabled, every event that reaches the dispatch layer is teed
 //! into a global bounded ring (`enable(capacity)`); the installed
-//! subscriber is unaffected. A *trigger* — election loss, cert-gate cold
-//! fallback, a storm round breaching its latency bound — calls
-//! [`trigger`] with the trace id of the flow that tripped it. The
-//! recorder snapshots the ring, extracts the **causal slice** (every
+//! subscriber is unaffected. A *trigger* — a cert-gate cold fallback,
+//! a storm round breaching its latency bound — calls [`trigger`] with
+//! the trace id of the flow that tripped it. The recorder snapshots the
+//! ring, extracts the **causal slice** (every
 //! buffered event of that trace, re-ordered into canonical causal order
 //! and renumbered), and dumps it as a JSONL artifact: to
 //! `flight_<n>_<reason>.jsonl` under the configured dump directory, and

@@ -12,8 +12,8 @@
 //!   jittered by a seeded ±50% factor (mean 1) so submissions don't
 //!   phase-lock with the controller's poll wakeups.
 //! * [`ArrivalPattern::Bursty`] — a steady base rate with periodic burst
-//!   windows at a rate multiplier: the flash-crowd fan-in that batched
-//!   admission exists to absorb.
+//!   windows at a rate multiplier: the flash-crowd fan-in the
+//!   controller's admission path must absorb.
 //!
 //! The schedule is a pure function of the profile (seed included): no
 //! wall clock, no global RNG — the same profile always yields the same

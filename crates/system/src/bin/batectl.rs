@@ -115,7 +115,7 @@ fn main() {
             let prune = flags.num::<usize>("prune").unwrap_or(2);
             let topo = load_topology(spec);
             // The flight ring backs `batectl trace <addr> <id>` and the
-            // standing dump triggers (election loss, cert fallback);
+            // standing dump triggers (cert fallback, storm latency breach);
             // without it TraceQuery always answers an empty ring.
             bate_obs::flight::enable(65_536);
             println!("starting controller for {topo}");
@@ -125,7 +125,6 @@ fn main() {
                 max_failures: prune,
                 schedule_interval: Some(Duration::from_secs_f64(interval)),
                 clock: bate_core::clock::SystemClock::shared(),
-                legacy_duplicate_handling: false,
                 idle_timeout: Some(Duration::from_secs(30)),
             })
             .expect("controller start");

@@ -5,8 +5,8 @@
 //! reconnect on transport errors, exponential backoff with deterministic
 //! seeded jitter between attempts. Retries are safe because the controller
 //! treats demand ids as idempotency keys: a retried `SubmitDemand` replays
-//! the original admission verdict instead of double-counting (or, as the
-//! pre-hardening code did, refusing) the demand, and a retried
+//! the original admission verdict instead of double-counting or refusing
+//! the demand, and a retried
 //! `WithdrawDemand` re-acks without side effects.
 
 use crate::proto::Message;
@@ -63,20 +63,6 @@ impl Default for RetryPolicy {
             max_delay: Duration::from_millis(500),
             request_timeout: Duration::from_secs(1),
             jitter_seed: 0x5EED_CAFE,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries, no read deadline — the pre-hardening behavior, kept so
-    /// regression tests can demonstrate the bugs the policy fixes.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            request_timeout: Duration::from_secs(3600),
-            jitter_seed: 0,
         }
     }
 }
@@ -336,7 +322,7 @@ impl Client {
 /// A pipelined client: queue many requests locally, flush them in one
 /// write, then drain the replies — no per-request round-trip wait. This
 /// is what the load generator drives (fan-in throughput is bounded by
-/// the controller's batch processing, not by N × RTT) and what the
+/// the controller's per-message processing, not by N × RTT) and what the
 /// batched-admission tests use to land many `SubmitDemand` frames in a
 /// single controller wakeup.
 ///
@@ -392,8 +378,7 @@ impl PipelinedClient {
     }
 
     /// Send everything queued in one write (one TCP segment when it
-    /// fits, which is what lands a whole batch in one controller
-    /// wakeup).
+    /// fits, which lands everything queued in one controller wakeup).
     pub fn flush(&mut self) -> io::Result<()> {
         use io::Write as _;
         self.stream.write_all(&self.wbuf)?;
@@ -403,8 +388,8 @@ impl PipelinedClient {
     }
 
     /// Block for the next `AdmissionReply`, returning `(id, admitted)`.
-    /// Replies arrive in submission order (the controller folds batches
-    /// FCFS and the wire preserves per-connection order).
+    /// Replies arrive in submission order (the controller decides
+    /// submits FCFS and the wire preserves per-connection order).
     pub fn recv_verdict(&mut self) -> io::Result<(u64, bool)> {
         loop {
             match read_frame::<Message, _>(&mut self.stream)

@@ -3,39 +3,37 @@
 //!
 //! **Event-driven plane.** One poll loop ([`crate::poller`]) owns every
 //! connection as a [`crate::event::Conn`] state machine — no
-//! thread-per-connection, no accept polling. Within a poll wakeup, all
-//! pending `SubmitDemand` frames form an *admission batch*: verdicts are
-//! decided by the same first-come-first-served pipeline fold the threaded
-//! plane ran (identical verdicts by construction — see
-//! `bate_core::admission::admit_batch`), and then ONE warm
-//! [`IncrementalScheduler`] solve re-optimizes the whole pool, amortizing
-//! the scheduling LP across the batch instead of paying a round per
-//! arrival. Batches of one take the exact legacy path, which is what pins
-//! the fault-suite goldens byte-identical across the concurrency-model
-//! change.
+//! thread-per-connection, no accept polling. Each wakeup's messages are
+//! handled one at a time in arrival order. A `SubmitDemand` is decided by
+//! the first-come-first-served admission pipeline (§3.2: fixed check, then
+//! the Algorithm-1 conjecture) against the live pool; its allocation is
+//! pushed to the brokers and its verdict queued, all inside the client's
+//! adopted trace span. Re-optimizing the pool is left to the Online
+//! Scheduler round (§3.3, [`Controller::run_schedule_round`] or
+//! [`ControllerConfig::schedule_interval`]): as the paper's footnote 5
+//! allows, a conjecture admit's temporary allocation may fall short of
+//! its target until that round.
 //!
 //! Hardened against lossy control channels: demand ids double as
-//! idempotency keys — including *within* a batch, where a duplicated
-//! submit frame replays the verdict its sibling earned moments earlier. A
-//! retried `SubmitDemand` (same id, same content) replays the original
-//! admission verdict and re-pushes the allocation — it is never
-//! double-counted, and never spuriously refused the way the pre-hardening
-//! duplicate check refused it. Withdraws are acknowledged and idempotent,
-//! and a broker that re-registers after a severed connection is
-//! immediately re-synced with every live allocation.
+//! idempotency keys. A retried `SubmitDemand` (same id, same content)
+//! replays the original admission verdict and re-pushes the allocation —
+//! it is never double-counted and never refused. Withdraws are
+//! acknowledged and idempotent, and a broker that re-registers after a
+//! severed connection is immediately re-synced with every live
+//! allocation.
 //!
 //! Slow peers cannot wedge the plane: a connection stuck mid-frame
 //! (stalled or dribbling bytes) is reaped once its frame-assembly
 //! deadline ([`ControllerConfig::idle_timeout`]) passes, while every
 //! other connection keeps admitting.
 
+use crate::client::DemandRequest;
 use crate::event::Conn;
 use crate::poller::{Poller, Waker};
 use crate::proto::{FlowEntry, Message};
 use crate::wire::{encode_frame, encode_frame_ctx, FrameCtx};
 use bate_core::admission;
 use bate_core::clock::{Clock, SystemClock};
-use bate_core::incremental::{DemandDelta, IncrementalScheduler};
 use bate_core::recovery::greedy::greedy_recovery;
 use bate_core::scheduling::schedule_hardened as schedule;
 use bate_core::{Allocation, BaDemand, DemandId, TeContext};
@@ -46,7 +44,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,16 +58,9 @@ struct CtrlMetrics {
     link_reports: Arc<bate_obs::Counter>,
     rounds: Arc<bate_obs::Counter>,
     stats_queries: Arc<bate_obs::Counter>,
-    /// Admission batches drained from the poll loop (size distribution in
-    /// `bate_admission_batch_size`; a size-1 batch is the legacy path).
-    batches: Arc<bate_obs::Counter>,
-    batch_size: Arc<bate_obs::Histogram>,
-    /// Controller-side admission latency per submit, µs: frame decode to
-    /// verdict (and any batch solve) queued for write. One observation
-    /// per demand, so quantiles are per-demand, not per-batch.
+    /// Controller-side admission latency per submit, µs: from handling
+    /// the decoded frame to its verdict queued for write.
     admit_latency: Arc<bate_obs::Histogram>,
-    /// Warm incremental solves amortized across multi-submit batches.
-    batch_solves: Arc<bate_obs::Counter>,
     /// Connections reaped for stalling mid-frame past the idle deadline.
     conns_reaped: Arc<bate_obs::Counter>,
 }
@@ -85,10 +76,7 @@ fn ctrl_metrics() -> &'static CtrlMetrics {
             link_reports: r.counter("bate_ctrl_link_reports_total"),
             rounds: r.counter("bate_ctrl_schedule_rounds_total"),
             stats_queries: r.counter("bate_ctrl_stats_queries_total"),
-            batches: r.counter("bate_ctrl_batches_total"),
-            batch_size: r.histogram("bate_admission_batch_size"),
             admit_latency: r.histogram("bate_admission_latency_us"),
-            batch_solves: r.counter("bate_ctrl_batch_warm_solves_total"),
             conns_reaped: r.counter("bate_ctrl_conns_reaped_total"),
         }
     })
@@ -107,11 +95,6 @@ pub struct ControllerConfig {
     /// Time source for the scheduler thread (tests inject a simulated
     /// clock; everything else uses the system clock).
     pub clock: Arc<dyn Clock>,
-    /// Pre-hardening duplicate handling: a repeated SubmitDemand id is
-    /// refused outright instead of replaying the original verdict. Kept
-    /// ONLY so regression tests can demonstrate the retry bug this
-    /// shipped with; leave `false`.
-    pub legacy_duplicate_handling: bool,
     /// How long a connection may sit *mid-frame* before it is reaped
     /// (slow-loris defense). Idle connections between frames are never
     /// reaped. `None` disables reaping.
@@ -128,7 +111,6 @@ impl ControllerConfig {
             max_failures,
             schedule_interval: None,
             clock: SystemClock::shared(),
-            legacy_duplicate_handling: false,
             idle_timeout: Some(Duration::from_secs(30)),
         }
     }
@@ -203,7 +185,8 @@ struct Shared {
     commands: Mutex<Vec<Cmd>>,
     waker: Waker,
     progress: Mutex<HashMap<u64, ConnProgress>>,
-    legacy_duplicate_handling: bool,
+    /// Connections this controller reaped for stalling mid-frame.
+    reaped: AtomicU64,
     idle_timeout: Option<Duration>,
 }
 
@@ -270,7 +253,7 @@ impl Controller {
             commands: Mutex::new(Vec::new()),
             waker: Waker::new()?,
             progress: Mutex::new(HashMap::new()),
-            legacy_duplicate_handling: config.legacy_duplicate_handling,
+            reaped: AtomicU64::new(0),
             idle_timeout: config.idle_timeout,
         });
 
@@ -409,9 +392,9 @@ impl Controller {
         v
     }
 
-    /// Connections reaped for stalling mid-frame (process-wide counter).
-    pub fn reaped_total() -> u64 {
-        ctrl_metrics().conns_reaped.get()
+    /// Connections this controller has reaped for stalling mid-frame.
+    pub fn reaped(&self) -> u64 {
+        self.shared.reaped.load(Ordering::Relaxed)
     }
 }
 
@@ -460,74 +443,12 @@ const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const TOK_FIRST_CONN: u64 = 2;
 
-/// A `SubmitDemand` frame drained from a connection, pending its batch.
-struct PendingSubmit {
-    token: u64,
-    rctx: Option<FrameCtx>,
-    id: u64,
-    src: String,
-    dst: String,
-    bandwidth: f64,
-    beta: f64,
-    price: f64,
-    refund_ratio: f64,
-}
-
-/// The live mirror of the demand pool inside the warm incremental
-/// scheduler. Deltas are queued lazily on every admit/withdraw and
-/// applied in one [`IncrementalScheduler::apply`] per multi-submit batch;
-/// a failed solve poisons the mirror, which is rebuilt from the live
-/// pool on the next batch (correctness never depends on the mirror — the
-/// FCFS fold already produced valid verdicts and allocations).
-struct Mirror {
-    sched: Option<IncrementalScheduler>,
-    pending: Vec<DemandDelta>,
-    /// Pool size at the last failed solve. While the live pool is at
-    /// least this big, rebuild attempts are skipped: a pool that just
-    /// blew the simplex iteration budget will blow it again, and
-    /// re-burning the full budget every batch is a death spiral. The
-    /// guard clears once withdrawals shrink the pool.
-    poisoned_at: Option<usize>,
-}
-
-impl Mirror {
-    fn solve(&mut self, ctx: &TeContext, live: &[BaDemand]) -> Option<bate_core::scheduling::ScheduleResult> {
-        if let Some(at) = self.poisoned_at {
-            if live.len() >= at {
-                return None;
-            }
-            self.poisoned_at = None;
-        }
-        if self.sched.is_none() {
-            self.pending = live.iter().map(|d| DemandDelta::Add(d.clone())).collect();
-            self.sched = Some(IncrementalScheduler::new(ctx));
-        }
-        let deltas = std::mem::take(&mut self.pending);
-        match self.sched.as_mut().unwrap().apply(ctx, &deltas) {
-            Ok(res) => Some(res),
-            Err(e) => {
-                bate_obs::warn!(
-                    "ctrl.batch_solve_poisoned",
-                    deltas = deltas.len(),
-                    pool = live.len(),
-                    error = format!("{e}"),
-                );
-                self.sched = None;
-                self.pending.clear();
-                self.poisoned_at = Some(live.len());
-                None
-            }
-        }
-    }
-}
-
 struct EventLoop {
     shared: Arc<Shared>,
     listener: TcpListener,
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    mirror: Mirror,
 }
 
 impl EventLoop {
@@ -538,11 +459,6 @@ impl EventLoop {
             poller,
             conns: HashMap::new(),
             next_token: TOK_FIRST_CONN,
-            mirror: Mirror {
-                sched: None,
-                pending: Vec::new(),
-                poisoned_at: None,
-            },
         }
     }
 
@@ -573,7 +489,9 @@ impl EventLoop {
                     }
                 }
             }
-            self.process_inbox(&mut inbox);
+            for (token, rctx, msg) in inbox.drain(..) {
+                self.handle_message(token, rctx, msg);
+            }
             self.drain_commands(false);
             self.reap_overdue();
             self.flush_and_sweep();
@@ -621,137 +539,42 @@ impl EventLoop {
         }
     }
 
-    /// Handle this wakeup's messages in arrival order. Maximal runs of
-    /// consecutive `SubmitDemand` frames form one admission batch; any
-    /// other message type is a batch boundary (so a submit→withdraw
-    /// pipeline from one client keeps its order).
-    fn process_inbox(&mut self, inbox: &mut Vec<(u64, Option<FrameCtx>, Message)>) {
-        let mut batch: Vec<PendingSubmit> = Vec::new();
-        for (token, rctx, msg) in inbox.drain(..) {
-            match msg {
-                Message::SubmitDemand {
-                    id,
-                    src,
-                    dst,
-                    bandwidth,
-                    beta,
-                    price,
-                    refund_ratio,
-                } => batch.push(PendingSubmit {
-                    token,
-                    rctx,
-                    id,
-                    src,
-                    dst,
-                    bandwidth,
-                    beta,
-                    price,
-                    refund_ratio,
-                }),
-                other => {
-                    self.flush_submit_batch(&mut batch);
-                    self.handle_message(token, rctx, other);
-                }
-            }
-        }
-        self.flush_submit_batch(&mut batch);
-    }
-
-    /// Decide one admission batch: FCFS pipeline fold for the verdicts
-    /// (identical to sequential handling by construction), then — for
-    /// multi-submit batches — one warm incremental solve re-optimizing
-    /// the pool, and a single allocation push per live demand.
-    fn flush_submit_batch(&mut self, batch: &mut Vec<PendingSubmit>) {
-        if batch.is_empty() {
-            return;
-        }
-        let batch: Vec<PendingSubmit> = std::mem::take(batch);
-        let t0 = Instant::now();
-        let m = ctrl_metrics();
-        m.batches.inc();
-        m.batch_size.observe(batch.len() as f64);
-        let shared = Arc::clone(&self.shared);
-        let ctx = shared.ctx();
-        let conns = &mut self.conns;
-        let mirror = &mut self.mirror;
-        // A batch of one is the legacy path: verdict, per-demand push,
-        // reply, all inside the adopted span — byte-identical wire
-        // behavior to the threaded plane (the fault-suite goldens).
-        let defer_push = batch.len() > 1;
-        let mut state = shared.state.lock();
-        let mut push_ids: Vec<DemandId> = Vec::new();
-        let mut fresh_admits = 0usize;
-        for sub in &batch {
-            // Adopt the client's span so the admission pipeline (and the
-            // LP solve under it) parents on the submit that caused it —
-            // this is what links client → controller → solver phases
-            // under one trace_id.
-            let _adopted = sub
-                .rctx
-                .map(|c| bate_obs::context::adopt("ctrl.submit", c.trace_id, c.span_id));
-            let admitted = handle_submit_locked(
-                &shared,
-                &ctx,
-                &mut state,
-                conns,
-                sub,
-                defer_push,
-                &mut push_ids,
-                &mut mirror.pending,
-                &mut fresh_admits,
-            );
-            let reply = Message::AdmissionReply {
-                id: sub.id,
-                admitted,
-            };
-            if let Ok(frame) = encode_frame_ctx(&reply, FrameCtx::current()) {
-                if let Some(conn) = conns.get_mut(&sub.token) {
-                    conn.queue_frame(&frame);
-                }
-            }
-        }
-        if defer_push {
-            let mut pushed_all = false;
-            // One warm solve for the whole batch. Skipped while a failure
-            // is in effect (the recovery allocation stays authoritative
-            // until repair, same as scheduling rounds).
-            if fresh_admits > 0 && state.failed.is_empty() {
-                if let Some(res) = mirror.solve(&ctx, &state.demands) {
-                    m.batch_solves.inc();
-                    bate_obs::info!(
-                        "ctrl.batch_solve",
-                        batch = batch.len(),
-                        admitted = fresh_admits,
-                        pool = state.demands.len(),
-                    );
-                    state.allocation = res.allocation;
-                    push_all_allocations(&mut state, conns);
-                    pushed_all = true;
-                }
-            }
-            if !pushed_all {
-                // No solve (pure-replay batch, active failure, or a
-                // poisoned mirror): push the fold's per-demand
-                // allocations, once per distinct id.
-                push_ids.sort_unstable_by_key(|d| d.0);
-                push_ids.dedup();
-                for id in push_ids {
-                    push_demand_allocation(&mut state, conns, id);
-                }
-            }
-        }
-        // Every demand in the batch waited for the whole batch decision,
-        // so each inherits the batch's wall-clock latency.
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        for _ in 0..batch.len() {
-            m.admit_latency.observe(us);
-        }
-    }
-
     fn handle_message(&mut self, token: u64, rctx: Option<FrameCtx>, msg: Message) {
         let shared = Arc::clone(&self.shared);
         let conns = &mut self.conns;
         match msg {
+            Message::SubmitDemand {
+                id,
+                src,
+                dst,
+                bandwidth,
+                beta,
+                price,
+                refund_ratio,
+            } => {
+                let t0 = Instant::now();
+                // Adopt the client's span so the admission pipeline (and
+                // any LP solve under it) and the broker push parent on the
+                // submit that caused them — this is what links client →
+                // controller → solver phases under one trace_id.
+                let _adopted = rctx
+                    .map(|c| bate_obs::context::adopt("ctrl.submit", c.trace_id, c.span_id));
+                let req = DemandRequest {
+                    id,
+                    src,
+                    dst,
+                    bandwidth,
+                    beta,
+                    price,
+                    refund_ratio,
+                };
+                let admitted = handle_submit(&shared, &mut shared.state.lock(), conns, &req);
+                let reply = Message::AdmissionReply { id, admitted };
+                queue_to(conns, token, &reply, FrameCtx::current());
+                ctrl_metrics()
+                    .admit_latency
+                    .observe(t0.elapsed().as_secs_f64() * 1e6);
+            }
             Message::WithdrawDemand { id } => {
                 let _adopted = rctx
                     .map(|c| bate_obs::context::adopt("ctrl.withdraw", c.trace_id, c.span_id));
@@ -773,7 +596,6 @@ impl EventLoop {
                             withdrawn: true,
                         });
                     if was_present {
-                        self.mirror.pending.push(DemandDelta::Remove(DemandId(id)));
                         broadcast(&mut state, conns, &Message::RemoveAllocation { demand: id });
                     }
                 }
@@ -830,8 +652,7 @@ impl EventLoop {
             // silence; a production controller would aggregate them.
             Message::StatsReport { .. } => {}
             // Messages a controller never receives.
-            Message::SubmitDemand { .. }
-            | Message::AdmissionReply { .. }
+            Message::AdmissionReply { .. }
             | Message::WithdrawAck { .. }
             | Message::InstallAllocation { .. }
             | Message::RemoveAllocation { .. }
@@ -869,6 +690,9 @@ impl EventLoop {
             ctrl_metrics().conns_reaped.inc();
             bate_obs::warn!("ctrl.conn_reaped", token = token);
             self.close_conn(token);
+            // Counted after the close, so a caller that sees the count
+            // also sees the socket closed.
+            self.shared.reaped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -930,60 +754,46 @@ impl EventLoop {
     }
 }
 
-/// The submit fold step, identical in decision logic to the threaded
-/// plane's `handle_submit`. With `defer_push` (multi-submit batches) the
-/// allocation pushes are collected into `push_ids` instead of being sent
-/// per demand, so the batch can push once after its warm solve.
-#[allow(clippy::too_many_arguments)]
-fn handle_submit_locked(
+/// Decide one submit: replay the recorded verdict of a retried id, or
+/// run the FCFS admission pipeline against the live pool; an admit (or
+/// a replayed admit) pushes the demand's allocation to every broker.
+fn handle_submit(
     shared: &Shared,
-    ctx: &TeContext,
     state: &mut CtrlState,
     conns: &mut HashMap<u64, Conn>,
-    sub: &PendingSubmit,
-    defer_push: bool,
-    push_ids: &mut Vec<DemandId>,
-    pending_deltas: &mut Vec<DemandDelta>,
-    fresh_admits: &mut usize,
+    req: &DemandRequest,
 ) -> bool {
     let fingerprint = submit_fingerprint(
-        &sub.src,
-        &sub.dst,
-        sub.bandwidth,
-        sub.beta,
-        sub.price,
-        sub.refund_ratio,
+        &req.src,
+        &req.dst,
+        req.bandwidth,
+        req.beta,
+        req.price,
+        req.refund_ratio,
     );
     ctrl_metrics().submits.inc();
 
     let (Some(s), Some(d)) = (
-        shared.topo.find_node(&sub.src),
-        shared.topo.find_node(&sub.dst),
+        shared.topo.find_node(&req.src),
+        shared.topo.find_node(&req.dst),
     ) else {
         return false;
     };
     let Some(pair) = shared.tunnels.pair_index(s, d) else {
         return false;
     };
-    if sub.bandwidth <= 0.0 || !(0.0..=1.0).contains(&sub.beta) {
+    if req.bandwidth <= 0.0 || !(0.0..=1.0).contains(&req.beta) {
         return false;
     }
     let demand = BaDemand {
-        id: DemandId(sub.id),
-        bandwidth: vec![(pair, sub.bandwidth)],
-        beta: sub.beta,
-        price: sub.price,
-        refund_ratio: sub.refund_ratio.clamp(0.0, 1.0),
+        id: DemandId(req.id),
+        bandwidth: vec![(pair, req.bandwidth)],
+        beta: req.beta,
+        price: req.price,
+        refund_ratio: req.refund_ratio.clamp(0.0, 1.0),
     };
 
-    if shared.legacy_duplicate_handling {
-        // Pre-hardening path: any repeated id is refused — which means a
-        // client whose AdmissionReply was lost retries and is told
-        // `false` for a demand the controller is billing it for.
-        if state.demands.iter().any(|d| d.id.0 == sub.id) {
-            return false;
-        }
-    } else if let Some(rec) = state.outcomes.get(&sub.id).copied() {
+    if let Some(rec) = state.outcomes.get(&req.id).copied() {
         if rec.withdrawn {
             return false; // stale resubmit of a withdrawn demand
         }
@@ -993,13 +803,9 @@ fn handle_submit_locked(
         // Idempotent replay: same verdict, and re-push the allocation in
         // case the broker installs were lost alongside the reply.
         ctrl_metrics().replay_hits.inc();
-        bate_obs::info!("ctrl.submit_replay", demand = sub.id, admitted = rec.admitted);
+        bate_obs::info!("ctrl.submit_replay", demand = req.id, admitted = rec.admitted);
         if rec.admitted {
-            if defer_push {
-                push_ids.push(DemandId(sub.id));
-            } else {
-                push_demand_allocation(state, conns, DemandId(sub.id));
-            }
+            push_demand_allocation(state, conns, demand.id);
         }
         return rec.admitted;
     }
@@ -1010,24 +816,16 @@ fn handle_submit_locked(
         allocation,
         ..
     } = state;
-    if admission::admit_and_apply(ctx, demands, allocation, &demand) {
-        pending_deltas.push(DemandDelta::Add(demand.clone()));
-        *fresh_admits += 1;
-        if defer_push {
-            push_ids.push(demand.id);
-        } else {
-            push_demand_allocation(state, conns, demand.id);
-        }
-        if !shared.legacy_duplicate_handling {
-            state.outcomes.insert(
-                sub.id,
-                SubmitRecord {
-                    fingerprint,
-                    admitted: true,
-                    withdrawn: false,
-                },
-            );
-        }
+    if admission::admit_and_apply(&shared.ctx(), demands, allocation, &demand) {
+        push_demand_allocation(state, conns, demand.id);
+        state.outcomes.insert(
+            req.id,
+            SubmitRecord {
+                fingerprint,
+                admitted: true,
+                withdrawn: false,
+            },
+        );
         true
     } else {
         // Rejections are NOT recorded: admitting nothing has no side

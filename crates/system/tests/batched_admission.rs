@@ -1,22 +1,24 @@
-//! Batched-admission equivalence: a pipelined batch of N submissions
-//! through the event-driven controller must produce *exactly* the same
-//! verdicts as submitting the same demands one at a time against a cold
-//! controller — and the post-batch allocation (the one warm solve
-//! amortized across the batch) must achieve the certified exact-LP
-//! objective for the admitted set.
+//! Pipelined-admission equivalence: N submissions landed in one write
+//! through the event-driven controller must get *exactly* the verdicts
+//! the same demands get one round-trip at a time against a fresh
+//! controller — each submit is decided in arrival order by the same FCFS
+//! fold, however many share a poll wakeup.
 //!
-//! This is the system-level pin of `bate_core::admission::admit_batch`'s
-//! by-construction claim: batching changes *when* the pool is
-//! re-optimized, never *what* is admitted.
+//! Allocations are checked where the brokers see them: before any
+//! scheduling round, the fold's pushed allocation respects every link's
+//! capacity; after one Online Scheduler round, both controllers reach the
+//! certified exact-LP objective for the admitted set, and every admitted
+//! demand meets its availability target.
 
 use bate_core::scheduling::schedule;
-use bate_core::{BaDemand, TeContext};
+use bate_core::{Allocation, BaDemand, DemandId, TeContext};
 use bate_net::{topologies, ScenarioSet};
-use bate_routing::{RoutingScheme, TunnelSet};
+use bate_routing::{RoutingScheme, TunnelId, TunnelSet};
 use bate_system::client::DemandRequest;
-use bate_system::{Client, Controller, ControllerConfig, PipelinedClient};
+use bate_system::{Broker, Client, Controller, ControllerConfig, PipelinedClient};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 fn start_controller() -> Controller {
     Controller::start(ControllerConfig::manual(
@@ -53,6 +55,26 @@ fn seeded_demands(seed: u64, n: usize, id_base: u64) -> Vec<DemandRequest> {
         .collect()
 }
 
+/// The allocation `broker` holds for `ids`, rebuilt from its installed
+/// flow entries once each demand's install has landed.
+fn installed(broker: &Broker, ids: &[u64]) -> Allocation {
+    let mut alloc = Allocation::new();
+    for &id in ids {
+        assert!(
+            broker.wait_for_demand(id, Duration::from_secs(5)),
+            "demand {id} was never installed"
+        );
+        for e in broker.entries(id) {
+            let t = TunnelId {
+                pair: e.pair as usize,
+                tunnel: e.tunnel as usize,
+            };
+            alloc.set(DemandId(id), t, e.rate);
+        }
+    }
+    alloc
+}
+
 #[test]
 fn batched_equals_sequential_with_certified_objective() {
     let n = 12;
@@ -67,10 +89,11 @@ fn batched_equals_sequential_with_certified_objective() {
         })
         .collect();
 
-    // Batched path: all N frames queued locally and flushed in one
-    // write, so they land in one controller wakeup → one admission
-    // batch → one warm solve.
+    // Pipelined path: all N frames queued locally and flushed in one
+    // write, so they land in one controller wakeup.
     let ctrl_batch = start_controller();
+    let broker = Broker::connect(ctrl_batch.addr(), "DC1").unwrap();
+    assert!(ctrl_batch.wait_for_brokers(1, Duration::from_secs(2)));
     let mut pipelined = PipelinedClient::connect(ctrl_batch.addr()).unwrap();
     for req in &batch_reqs {
         pipelined.queue_submit(req).unwrap();
@@ -83,7 +106,7 @@ fn batched_equals_sequential_with_certified_objective() {
         batch_verdicts.push(admitted);
     }
 
-    // Sequential path: a cold controller, one round-trip per demand.
+    // Sequential path: a fresh controller, one round-trip per demand.
     let ctrl_seq = start_controller();
     let mut client = Client::connect(ctrl_seq.addr()).unwrap();
     let seq_verdicts: Vec<bool> = seq_reqs
@@ -93,7 +116,7 @@ fn batched_equals_sequential_with_certified_objective() {
 
     assert_eq!(
         batch_verdicts, seq_verdicts,
-        "batched admission diverged from the sequential pipeline"
+        "pipelined admission diverged from the sequential pipeline"
     );
     let admitted: Vec<&DemandRequest> = batch_reqs
         .iter()
@@ -109,57 +132,61 @@ fn batched_equals_sequential_with_certified_objective() {
     assert_eq!(ctrl_batch.admitted_count(), admitted.len());
     assert_eq!(ctrl_seq.admitted_count(), admitted.len());
 
-    // Exact oracle: the certified LP objective over the admitted set.
     let topo = topologies::testbed6();
     let tunnels = TunnelSet::compute(&topo, RoutingScheme::default_ksp4());
     let scenarios = ScenarioSet::enumerate(&topo, 2);
     let ctx = TeContext::new(&topo, &tunnels, &scenarios);
-    let pool: Vec<BaDemand> = admitted
-        .iter()
-        .map(|r| {
-            let s = topo.find_node(&r.src).unwrap();
-            let d = topo.find_node(&r.dst).unwrap();
-            let pair = tunnels.pair_index(s, d).unwrap();
-            BaDemand::single(r.id, pair, r.bandwidth, r.beta)
-        })
-        .collect();
-    let oracle = schedule(&ctx, &pool).expect("oracle solve");
+    let pool = |id_offset: u64| -> Vec<BaDemand> {
+        admitted
+            .iter()
+            .map(|r| {
+                let s = topo.find_node(&r.src).unwrap();
+                let d = topo.find_node(&r.dst).unwrap();
+                let pair = tunnels.pair_index(s, d).unwrap();
+                BaDemand::single(r.id + id_offset, pair, r.bandwidth, r.beta)
+            })
+            .collect()
+    };
+    let ids = |id_offset: u64| -> Vec<u64> { admitted.iter().map(|r| r.id + id_offset).collect() };
 
-    // The batch controller's post-batch allocation is its warm solve's;
-    // its total must match the certified objective (the warm path is
-    // KKT-certified against the exact LP, falling back cold otherwise).
-    let batch_total: f64 = admitted.iter().map(|r| ctrl_batch.allocated_rate(r.id)).sum();
+    // Before any round, the brokers hold the fold's allocations, and
+    // those must already fit the links.
+    let fold = installed(&broker, &ids(0));
     assert!(
-        (batch_total - oracle.total_bandwidth).abs() < 1e-6 * oracle.total_bandwidth.max(1.0),
-        "batched allocation total {batch_total} != certified oracle objective {}",
-        oracle.total_bandwidth
+        fold.respects_capacity(&ctx, 1e-6),
+        "the fold's pushed allocation exceeds link capacity"
     );
 
-    // After one scheduling round, the sequential controller lands on the
-    // same certified objective — batching and sequencing converge.
-    ctrl_seq.run_schedule_round();
-    let seq_total: f64 = admitted
-        .iter()
-        .map(|r| ctrl_seq.allocated_rate(r.id + 1000))
-        .sum();
-    assert!(
-        (seq_total - oracle.total_bandwidth).abs() < 1e-6 * oracle.total_bandwidth.max(1.0),
-        "sequential round total {seq_total} != certified oracle objective {}",
-        oracle.total_bandwidth
-    );
+    // Exact oracle: the certified LP objective over the admitted set.
+    let oracle = schedule(&ctx, &pool(0)).expect("oracle solve");
 
-    // The batch path really ran: the in-process batch-size histogram saw
-    // the multi-submit batch (sequential submits only ever record 1s).
-    let max_batch = bate_obs::Registry::global()
-        .histogram("bate_admission_batch_size")
-        .max();
-    assert!(
-        max_batch >= 2.0,
-        "expected a multi-submit batch to be recorded, max batch size {max_batch}"
-    );
+    // One Online Scheduler round on each controller: both reach the
+    // certified objective, and a broker registering afterwards is synced
+    // with an allocation that meets every admitted demand's target.
+    for (ctrl, id_offset) in [(&ctrl_batch, 0), (&ctrl_seq, 1000)] {
+        ctrl.run_schedule_round();
+        let total: f64 = ids(id_offset)
+            .iter()
+            .map(|&id| ctrl.allocated_rate(id))
+            .sum();
+        assert!(
+            (total - oracle.total_bandwidth).abs() < 1e-6 * oracle.total_bandwidth.max(1.0),
+            "round total {total} != certified oracle objective {}",
+            oracle.total_bandwidth
+        );
+        let late = Broker::connect(ctrl.addr(), "DC2").unwrap();
+        let scheduled = installed(&late, &ids(id_offset));
+        for d in pool(id_offset) {
+            assert!(
+                scheduled.meets_target(&ctx, &d),
+                "demand {:?} misses its target after the round",
+                d.id
+            );
+        }
+    }
 }
 
-/// Duplicated frames *inside* one batch replay the verdict their sibling
+/// Duplicated frames *inside* one write replay the verdict their sibling
 /// earned moments earlier — idempotency holds within a wakeup, not just
 /// across round-trips.
 #[test]

@@ -3,10 +3,9 @@
 //!
 //! These live in their own test binary on purpose: the assertions are
 //! exact-string matches against the process-global registry, so any
-//! sibling test that triggers a warm solve or a storm (e.g. a
-//! multi-client run whose admission batch runs the incremental
-//! scheduler) would perturb the counters. Process isolation keeps the
-//! goldens exact without weakening them.
+//! sibling test that triggers a warm solve or a storm would perturb the
+//! counters. Process isolation keeps the goldens exact without weakening
+//! them.
 
 use bate_net::topologies;
 use bate_routing::RoutingScheme;

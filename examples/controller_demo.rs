@@ -23,7 +23,6 @@ fn main() {
         max_failures: 2,
         schedule_interval: Some(Duration::from_secs(2)),
         clock: SystemClock::shared(),
-        legacy_duplicate_handling: false,
         idle_timeout: Some(Duration::from_secs(30)),
     })
     .expect("controller start");

@@ -6,9 +6,9 @@
 #
 # The deterministic schedule (bate_sim::loadgen, seed 7) drives a steady +
 # bursty submission mix through pipelined clients; the bench itself
-# asserts the throughput floor, that every submission landed one
-# observation in the bate_admission_latency_us histogram, and that
-# batched admission actually engaged (multi-submit batches formed).
+# asserts the throughput floor and that every submission landed one
+# observation in the bate_admission_latency_us histogram (the controller
+# decides each submit as it arrives, with no LP solve on that path).
 #
 # The default scaled run (30k/min offered over a 2s schedule, 20k/min
 # floor) finishes in seconds and is deterministic in the schedule it
